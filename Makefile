@@ -2,8 +2,10 @@
 # race detector, which the concurrent scheduler's stress tests rely on.
 
 GO ?= go
+# PR numbers the bench-json snapshot: make bench-json PR=13 writes BENCH_PR13.json.
+PR ?= 13
 
-.PHONY: all build vet lint test race bench bench-json benchdiff serve serve-smoke trace-smoke chaos chaos-slo fleet-smoke
+.PHONY: all build vet lint test race bench bench-json bench-name benchdiff serve serve-smoke trace-smoke chaos chaos-slo fleet-smoke
 
 all: build vet lint test
 
@@ -33,12 +35,16 @@ bench:
 
 # Wall-clock perf trajectory: snapshot ns/op, B/op, allocs/op of the hot-path
 # microbenchmarks, the full JOB sweep, the fleet scale-out sweep and the
-# open-loop serving loop into BENCH_PR9.json (diffable across PRs; non-gating
+# open-loop serving loop into BENCH_PR$(PR).json (diffable across PRs; non-gating
 # CI artifact). The exec microbenchmarks run 5 iterations for stable
 # allocs/op; the sweeps run once — they are the wall-clock headline.
 bench-json:
 	( $(GO) test -run '^$$' -bench 'ScanFilter|HashJoin|JoinStep|GroupAggregate' -benchmem -benchtime=5x ./internal/exec/ ; \
-	  $(GO) test -run '^$$' -bench 'Fig12JOBSweep|FleetSweep|ServeOpenLoop' -benchmem -benchtime=1x -timeout 30m . ) | $(GO) run ./cmd/benchjson -o BENCH_PR9.json
+	  $(GO) test -run '^$$' -bench 'Fig12JOBSweep|FleetSweep|ServeOpenLoop' -benchmem -benchtime=1x -timeout 30m . ) | $(GO) run ./cmd/benchjson -o BENCH_PR$(PR).json
+
+# The snapshot's base name (CI names the uploaded artifact after it).
+bench-name:
+	@echo BENCH_PR$(PR)
 
 # Non-gating perf-trajectory diff: ns/op (plus B/op, allocs/op) deltas of the
 # two newest BENCH_PR*.json snapshots.

@@ -666,7 +666,7 @@ func (x *Executor) runHybrid(orig *exec.Plan, s Strategy, tr *obs.Trace, deadlin
 		}
 
 		report := &Report{Query: p.Query.Name, Strategy: s, DeviceMemory: mp}
-		var tuples []exec.Tuple
+		tuples := new(exec.TupleSet)
 		var fetchDone []vclock.Time
 		first := true
 
@@ -724,19 +724,19 @@ func (x *Executor) runHybrid(orig *exec.Plan, s Strategy, tr *obs.Trace, deadlin
 			} else {
 				// Driving-chunk batch: run it through the host PQEP.
 				batch := b.Tuples
-				ev.Rows = len(batch)
+				ev.Rows = batch.Len()
 				for si := hostFrom; si < len(p.Steps); si++ {
 					jsp := tr.Start(hostTL, "host.join").AttrInt("step", int64(si)).
-						AttrInt("in.rows", int64(len(batch)))
+						AttrInt("in.rows", int64(batch.Len()))
 					var jerr error
 					batch, jerr = hostEng.JoinStep(pl, si, batch)
-					jsp.AttrInt("out.rows", int64(len(batch))).End()
+					jsp.AttrInt("out.rows", int64(batch.Len())).End()
 					if jerr != nil {
 						psp.End()
 						return jerr
 					}
 				}
-				tuples = append(tuples, batch...)
+				tuples.Append(batch)
 			}
 			psp.AttrInt("rows", int64(ev.Rows)).End()
 			if m := x.Metrics; m != nil {
@@ -760,7 +760,7 @@ func (x *Executor) runHybrid(orig *exec.Plan, s Strategy, tr *obs.Trace, deadlin
 			return nil, dev.TL.Now(), runErr
 		}
 
-		fsp := tr.Start(hostTL, "host.finalize").AttrInt("rows", int64(len(tuples)))
+		fsp := tr.Start(hostTL, "host.finalize").AttrInt("rows", int64(tuples.Len()))
 		res, err := hostEng.Finalize(pl, tuples)
 		fsp.End()
 		if err != nil {

@@ -131,7 +131,7 @@ func (x *Executor) RunHybridMulti(p *exec.Plan, s Strategy, devices int) (*Multi
 
 	// (B) Consume in device-completion order.
 	sort.SliceStable(all, func(i, j int) bool { return all[i].b.Ready < all[j].b.Ready })
-	var tuples []exec.Tuple
+	tuples := new(exec.TupleSet)
 	first := true
 	for _, tb := range all {
 		cat := hw.CatWaitFetch
@@ -161,7 +161,7 @@ func (x *Executor) RunHybridMulti(p *exec.Plan, s Strategy, devices int) (*Multi
 			ev.Rows = tb.b.Cols.Len()
 		} else {
 			batch := tb.b.Tuples
-			ev.Rows = len(batch)
+			ev.Rows = batch.Len()
 			for si := hostFrom; si < len(p.Steps); si++ {
 				var jerr error
 				batch, jerr = hostEng.JoinStep(pl, si, batch)
@@ -169,7 +169,7 @@ func (x *Executor) RunHybridMulti(p *exec.Plan, s Strategy, devices int) (*Multi
 					return nil, jerr
 				}
 			}
-			tuples = append(tuples, batch...)
+			tuples.Append(batch)
 		}
 		ev.HostDone = hostTL.Now()
 		mr.Timeline = append(mr.Timeline, ev)

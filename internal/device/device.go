@@ -71,7 +71,7 @@ func (c *Command) Bytes() int64 {
 // chunk after the device-side joins, stamped with the device time at which
 // the shared buffer slot became ready for pickup.
 type Batch struct {
-	Tuples []exec.Tuple
+	Tuples *exec.TupleSet
 	Bytes  int64
 	Ready  vclock.Time
 	// LeafAlias is set for H0 leaf batches: which table's selection this is.
@@ -105,10 +105,12 @@ func (b *Batch) Checksum() uint64 {
 		frame[3] = byte(n >> 24)
 		h.Write(frame[:4])
 	}
-	writeLen(len(b.Tuples))
-	for _, t := range b.Tuples {
-		writeLen(len(t))
-		for _, pos := range t {
+	n, w := b.Tuples.Len(), b.Tuples.Width()
+	writeLen(n)
+	for i := 0; i < n; i++ {
+		writeLen(w)
+		for p := 0; p < w; p++ {
+			pos := b.Tuples.Row(i, p)
 			writeLen(len(pos))
 			h.Write(pos)
 		}
@@ -481,16 +483,16 @@ func (d *Device) streamDrivingRange(cmd *Command, pl *exec.Pipeline, eng *exec.E
 	bounds = clipBounds(bounds, loPart, hiPart)
 	width := pl.TupleWidth(devSteps + 1)
 	slot := d.Model.SharedBufferSlot
-	var acc []exec.Tuple
+	acc := new(exec.TupleSet)
 	var accBytes int64
 	flush := func(last bool) error {
-		if len(acc) == 0 && !last {
+		if acc.Len() == 0 && !last {
 			// An empty intermediate result set occupies no buffer slot and
 			// is not transferred.
 			return nil
 		}
 		err := emitBatch(Batch{Tuples: acc, Bytes: accBytes, Last: last})
-		acc = nil
+		acc = new(exec.TupleSet)
 		accBytes = 0
 		return err
 	}
@@ -499,25 +501,26 @@ func (d *Device) streamDrivingRange(cmd *Command, pl *exec.Pipeline, eng *exec.E
 	// operation hands over once its cache holds a piece, so result sets fill
 	// shared-buffer slots incrementally with honest per-piece timestamps.
 	const pieceRows = 256
-	var runFrom func(si int, tuples []exec.Tuple) error
-	runFrom = func(si int, tuples []exec.Tuple) error {
-		if len(tuples) == 0 {
+	var runFrom func(si int, tuples *exec.TupleSet) error
+	runFrom = func(si int, tuples *exec.TupleSet) error {
+		n := tuples.Len()
+		if n == 0 {
 			return nil
 		}
 		if si >= devSteps {
-			acc = append(acc, tuples...)
-			accBytes += int64(len(tuples)) * width
+			acc.Append(tuples)
+			accBytes += int64(n) * width
 			if accBytes >= slot {
 				return flush(false)
 			}
 			return nil
 		}
-		for off := 0; off < len(tuples); off += pieceRows {
+		for off := 0; off < n; off += pieceRows {
 			end := off + pieceRows
-			if end > len(tuples) {
-				end = len(tuples)
+			if end > n {
+				end = n
 			}
-			out, err := eng.JoinStep(pl, si, tuples[off:end])
+			out, err := eng.JoinStep(pl, si, tuples.Slice(off, end))
 			if err != nil {
 				return err
 			}

@@ -178,12 +178,10 @@ func TestRunHkProducesJoinedTuples(t *testing.T) {
 	}
 	total := 0
 	emit := func(b device.Batch) error {
-		for _, tu := range b.Tuples {
-			if len(tu) != split+1 {
-				t.Fatalf("tuple spans %d tables, want %d", len(tu), split+1)
-			}
+		if n := b.Tuples.Len(); n > 0 && b.Tuples.Width() != split+1 {
+			t.Fatalf("tuples span %d tables, want %d", b.Tuples.Width(), split+1)
 		}
-		total += len(b.Tuples)
+		total += b.Tuples.Len()
 		return nil
 	}
 	if err := d.Run(cmd, pl, eng, emit, func(int) (vclock.Time, bool) { return 0, false }); err != nil {
@@ -234,5 +232,30 @@ func TestWaitSlotBackPressure(t *testing.T) {
 	}
 	if len(ready) > 1 && d.TL.Booked(hw.CatWaitSlots) <= 0 {
 		t.Fatal("device never stalled despite a single occupied slot")
+	}
+}
+
+// TestBatchChecksumPinned pins the sealed-sum framing: a hand-built batch
+// with driving and join positions plus a leaf column batch (partially
+// selected, out of row order) must hash to the value the row-slice tuple
+// format produced, so sealed sums survive any change of tuple storage.
+func TestBatchChecksumPinned(t *testing.T) {
+	row := func(s string) []byte { return []byte(s) }
+	b := device.Batch{
+		Tuples: exec.TupleSetOf(
+			[][]byte{row("drive-0"), row("drive-1"), row("drive-1")},
+			[][]byte{row("join-a"), row("join-bb"), row("join-a")},
+		),
+		Cols: &exec.ColBatch{
+			Rows: [][]byte{row("leaf-x"), row("leaf-yy"), row("leaf-zzz")},
+			Sel:  []int32{2, 0},
+		},
+		LeafAlias: "mk",
+	}
+	if got, want := b.Checksum(), uint64(0x993aa586e67971d8); got != want {
+		t.Errorf("checksum = %#x, want %#x", got, want)
+	}
+	if got, want := (&device.Batch{}).Checksum(), uint64(0xa8c7f832281a39c5); got != want {
+		t.Errorf("empty checksum = %#x, want %#x", got, want)
 	}
 }

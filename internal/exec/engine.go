@@ -115,8 +115,11 @@ type Pipeline struct {
 	// entry (-1 = NULL key or no match).
 	probeEnd []int32
 	probeEnt []int32
-	// arena backs tuple extension storage (see tupleArena).
-	arena tupleArena
+	// drive holds the driving-scan rows that position 0 of the pipeline's
+	// tuple sets indexes; fetched[si] holds the records BNLI step si matched
+	// (buffered steps index their inner side's rows instead).
+	drive   *rowPool
+	fetched []*rowPool
 }
 
 // StartPipeline resolves tables and builds shapes for the plan.
@@ -131,6 +134,9 @@ func (e *Engine) StartPipeline(p *Plan) (*Pipeline, error) {
 		Shapes: []*Shape{sh},
 		Widths: []int64{projWidth(t0.Schema, p.Driving.Proj)},
 		inner:  make([]*innerState, len(p.Steps)),
+
+		drive:   &rowPool{},
+		fetched: make([]*rowPool, len(p.Steps)),
 	}
 	for _, s := range p.Steps {
 		tr, err := e.Cat.Table(s.Right.Ref.Table)
@@ -164,17 +170,16 @@ func (e *Engine) StartPipeline(p *Plan) (*Pipeline, error) {
 	return pl, nil
 }
 
-// MakeTuples materializes scan rows as single-position driving tuples backed
-// by the pipeline's arena (one block allocation per tupleArenaBlock rows,
-// instead of one slice header per row).
-func (pl *Pipeline) MakeTuples(rows [][]byte) []Tuple {
-	tuples := make([]Tuple, len(rows))
-	for i, r := range rows {
-		t := pl.arena.alloc(1)
-		t[0] = r
-		tuples[i] = t
+// MakeTuples adds scan rows to the pipeline's driving pool and returns them
+// as single-position tuples.
+func (pl *Pipeline) MakeTuples(rows [][]byte) *TupleSet {
+	base := int32(len(pl.drive.rows))
+	pl.drive.rows = append(pl.drive.rows, rows...)
+	ids := make([]int32, len(rows))
+	for i := range ids {
+		ids[i] = base + int32(i)
 	}
-	return tuples
+	return &TupleSet{pools: []*rowPool{pl.drive}, ids: ids}
 }
 
 // FinalShape returns the shape after all join steps.
@@ -210,7 +215,7 @@ func projWidth(s *table.Schema, proj []string) int64 {
 }
 
 // Finalize applies grouping/aggregation or projection to the joined tuples.
-func (e *Engine) Finalize(pl *Pipeline, tuples []Tuple) (*Result, error) {
+func (e *Engine) Finalize(pl *Pipeline, tuples *TupleSet) (*Result, error) {
 	p := pl.Plan
 	sh := pl.FinalShape()
 	if len(p.Aggregates) > 0 || len(p.GroupBy) > 0 {

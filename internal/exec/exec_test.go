@@ -415,6 +415,71 @@ func TestEmptyAggregateReturnsNullRow(t *testing.T) {
 	}
 }
 
+// TestMinMaxCharEmptyExtreme pins MIN/MAX over a CHAR column whose extreme
+// value is "": the result type follows the column's schema, not whether the
+// accumulated string happens to be empty.
+func TestMinMaxCharEmptyExtreme(t *testing.T) {
+	cat := fixture(t, 0, 0)
+	ct, _ := cat.Table("customers")
+	for i, region := range []string{"north", "", "west"} {
+		if err := ct.Insert([]table.Value{table.IntVal(int32(i + 1)), table.StrVal(region)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := &query.Query{
+		Name:   "minmax",
+		Tables: []query.TableRef{{Alias: "c", Table: "customers"}},
+		Aggregates: []query.Aggregate{
+			{Func: query.Min, Arg: query.ColRef{Alias: "c", Col: "region"}, As: "lo"},
+			{Func: query.Max, Arg: query.ColRef{Alias: "c", Col: "region"}, As: "hi"},
+			{Func: query.Min, Arg: query.ColRef{Alias: "c", Col: "id"}, As: "id"},
+		},
+	}
+	p := &Plan{Query: q, Driving: AccessPath{Ref: q.Tables[0], EstSel: 1}, Aggregates: q.Aggregates}
+	res, err := hostEngine(cat).RunPlan(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []table.Value{table.StrVal(""), table.StrVal("west"), table.IntVal(1)}
+	for i, w := range want {
+		if got := res.Rows[0][i]; got != w {
+			t.Errorf("%s = %+v, want %+v", res.Columns[i], got, w)
+		}
+	}
+}
+
+// TestTupleSetAppendRehomes merges tuples whose driving rows live in
+// different pipelines' pools (a fleet gather) and checks every position
+// still resolves to its original row, in order.
+func TestTupleSetAppendRehomes(t *testing.T) {
+	row := func(s string) []byte { return []byte(s) }
+	shared := TupleSetOf([][]byte{row("a0"), row("a1")}, [][]byte{row("j0"), row("j1")})
+	other := TupleSetOf([][]byte{row("b0")}, [][]byte{row("k0")})
+	other.pools[1] = shared.pools[1] // same join pool, foreign driving pool
+	other.ids[1] = 1
+
+	var merged TupleSet
+	merged.Append(shared.Slice(0, 1))
+	merged.Append(other)
+	merged.Append(shared.Slice(1, 2))
+	merged.Append(&TupleSet{})
+	want := [][2]string{{"a0", "j0"}, {"b0", "j1"}, {"a1", "j1"}}
+	if merged.Len() != len(want) || merged.Width() != 2 {
+		t.Fatalf("merged %d×%d tuples, want %d×2", merged.Len(), merged.Width(), len(want))
+	}
+	for i, w := range want {
+		if got := [2]string{string(merged.Row(i, 0)), string(merged.Row(i, 1))}; got != w {
+			t.Errorf("tuple %d = %v, want %v", i, got, w)
+		}
+	}
+	if merged.pools[1] != shared.pools[1] {
+		t.Error("a position every input shares must not be re-homed")
+	}
+	if string(shared.Row(0, 0)) != "a0" || string(shared.Row(1, 0)) != "a1" {
+		t.Error("re-homing mutated an appended set")
+	}
+}
+
 func TestProjection(t *testing.T) {
 	cat := fixture(t, 20, 100)
 	q := &query.Query{
@@ -489,16 +554,12 @@ func TestSeedInnerUsesShippedRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tuples := make([]Tuple, len(rows))
-	for i, r := range rows {
-		tuples[i] = Tuple{r}
-	}
-	out, err := e.JoinStep(pl, 0, tuples)
+	out, err := e.JoinStep(pl, 0, TupleSetOf(rows))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != len(shipped) {
-		t.Fatalf("seeded join produced %d tuples, want %d", len(out), len(shipped))
+	if out.Len() != len(shipped) {
+		t.Fatalf("seeded join produced %d tuples, want %d", out.Len(), len(shipped))
 	}
 }
 
@@ -556,14 +617,14 @@ func TestShapeAndTuple(t *testing.T) {
 		t.Fatal("Extend must not mutate the original shape")
 	}
 	crow, _ := ct.Schema.EncodeRow([]table.Value{table.IntVal(9), table.StrVal("r")})
-	tu := Tuple{crow, nil}
-	if tu.Col(sh2, "c", "id").Int != 9 {
+	ts := TupleSetOf([][]byte{crow}, [][]byte{nil})
+	if colVal(sh2, ts, 0, bindRef(sh2, "c", "id")).Int != 9 {
 		t.Fatal("tuple column resolution broken")
 	}
-	if !tu.Col(sh2, "o", "amount").Null {
+	if !colVal(sh2, ts, 0, bindRef(sh2, "o", "amount")).Null {
 		t.Fatal("nil row position must yield NULL")
 	}
-	if !tu.Col(sh2, "zz", "id").Null {
+	if !colVal(sh2, ts, 0, bindRef(sh2, "zz", "id")).Null {
 		t.Fatal("unknown alias must yield NULL")
 	}
 }
@@ -664,7 +725,7 @@ func BenchmarkJoinStep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(out) == 0 {
+		if out.Len() == 0 {
 			b.Fatal("join produced nothing")
 		}
 	}

@@ -150,7 +150,7 @@ func (e *Engine) cacheWidth(rowWidth int64) int64 {
 // inner pass every time the cumulative outer volume crosses a buffer-sized
 // block boundary — the block-nested-loop rescan behaviour.
 type innerState struct {
-	rows   [][]byte
+	rows   *rowPool // the inner rows; join output ids index them directly
 	tab    *keyTab
 	built  bool
 	seeded bool
@@ -161,14 +161,14 @@ type innerState struct {
 	chargedBlocks int64
 }
 
-// appendTupleKey appends the composite join key of the left tuple to buf
+// appendTupleKey appends the composite join key of left tuple i to buf
 // using plan-time-bound column indices; ok is false when any component is
 // NULL (SQL equality never matches NULL). Partial appends from earlier
 // conditions are the caller's to discard (it resets buf per tuple).
-func appendTupleKey(buf []byte, sh *Shape, tu Tuple, conds []BoundCond) ([]byte, bool) {
+func appendTupleKey(buf []byte, sh *Shape, ts *TupleSet, i int, conds []BoundCond) ([]byte, bool) {
 	for _, c := range conds {
 		var ok bool
-		buf, ok = tu.Record(sh, c.LeftPos).AppendColKey(buf, c.LeftColIdx)
+		buf, ok = ts.Record(sh, i, c.LeftPos).AppendColKey(buf, c.LeftColIdx)
 		if !ok {
 			return buf, false
 		}
@@ -191,7 +191,7 @@ func appendRowKey(buf []byte, rec table.Record, conds []BoundCond) ([]byte, bool
 // JoinStep executes join step si of the pipeline over the given left tuples
 // and returns the extended tuples. Inner-side state persists in the pipeline
 // across chunked invocations.
-func (e *Engine) JoinStep(pl *Pipeline, si int, left []Tuple) ([]Tuple, error) {
+func (e *Engine) JoinStep(pl *Pipeline, si int, left *TupleSet) (*TupleSet, error) {
 	step := pl.Plan.Steps[si]
 	leftShape := pl.ShapeAt(si)
 	switch step.Type {
@@ -209,7 +209,7 @@ func (e *Engine) JoinStep(pl *Pipeline, si int, left []Tuple) ([]Tuple, error) {
 // charged: BNL re-reads the inner table once per outer block that exceeds
 // the join buffer, NLJ charges the full cross-comparison, GHJ charges
 // partitioning copies of both sides.
-func (e *Engine) joinBuffered(pl *Pipeline, si int, leftShape *Shape, left []Tuple, step JoinStep) ([]Tuple, error) {
+func (e *Engine) joinBuffered(pl *Pipeline, si int, leftShape *Shape, left *TupleSet, step JoinStep) (*TupleSet, error) {
 	inner, err := e.BuildInner(pl, si)
 	if err != nil {
 		return nil, err
@@ -219,9 +219,9 @@ func (e *Engine) joinBuffered(pl *Pipeline, si int, leftShape *Shape, left []Tup
 	// join buffer, each further buffer-sized outer block re-reads the inner
 	// table (Exp 5: the device BNL bottleneck).
 	if step.Type == BNL && e.JoinBuf > 0 && !inner.seeded {
-		innerBytes := int64(len(inner.rows)) * e.cacheWidth(inner.width)
+		innerBytes := int64(len(inner.rows.rows)) * e.cacheWidth(inner.width)
 		if innerBytes > e.JoinBuf {
-			inner.cumOuterBytes += int64(len(left)) * pl.TupleWidth(si+1)
+			inner.cumOuterBytes += int64(left.Len()) * pl.TupleWidth(si+1)
 			blocks := inner.cumOuterBytes / e.JoinBuf
 			if blocks > inner.chargedBlocks && e.TL != nil {
 				chargeRepeatDelta(e.TL, inner.scanDelta, int(blocks-inner.chargedBlocks))
@@ -235,7 +235,7 @@ func (e *Engine) joinBuffered(pl *Pipeline, si int, leftShape *Shape, left []Tup
 	// phase 2 walks the batch again chasing match chains in the same tuple
 	// order, so output ordering and the integer comparison counters — and with
 	// them every charge — are identical to tuple-at-a-time execution.
-	var out []Tuple
+	out := left.extend(inner.rows)
 	var cmpBytes int64
 	cmps := 0
 	conds := pl.conds[si]
@@ -243,15 +243,16 @@ func (e *Engine) joinBuffered(pl *Pipeline, si int, leftShape *Shape, left []Tup
 	keys := pl.keyBuf[:0]
 	ends := pl.probeEnd[:0]
 	ents := pl.probeEnt[:0]
-	for base := 0; base < len(left); base += bs {
-		chunk := left[base:min(base+bs, len(left))]
+	n, w := left.Len(), left.Width()
+	for base := 0; base < n; base += bs {
+		hi := min(base+bs, n)
 		keys = keys[:0]
 		ends = ends[:0]
 		ents = ents[:0]
-		for _, tu := range chunk {
+		for i := base; i < hi; i++ {
 			start := len(keys)
 			var ok bool
-			keys, ok = appendTupleKey(keys, leftShape, tu, conds)
+			keys, ok = appendTupleKey(keys, leftShape, left, i, conds)
 			if !ok {
 				keys = keys[:start] // discard partial NULL-key append
 				ends = append(ends, int32(start))
@@ -263,14 +264,15 @@ func (e *Engine) joinBuffered(pl *Pipeline, si int, leftShape *Shape, left []Tup
 			ents = append(ents, inner.tab.find(fnv1a(k), k))
 		}
 		start := int32(0)
-		for j, tu := range chunk {
+		for j := range hi - base {
 			end := ends[j]
 			if ei := ents[j]; ei >= 0 {
 				ent := &inner.tab.entries[ei]
 				cmps += int(ent.n)
 				cmpBytes += int64(end-start) * int64(ent.n)
+				tu := left.ids[(base+j)*w : (base+j+1)*w]
 				for r := ent.head; r >= 0; r = inner.tab.next[r] {
-					out = append(out, pl.extendTuple(tu, inner.rows[r]))
+					out.ids = append(append(out.ids, tu...), r)
 				}
 			}
 			start = end
@@ -280,16 +282,16 @@ func (e *Engine) joinBuffered(pl *Pipeline, si int, leftShape *Shape, left []Tup
 	pl.probeEnd = ends[:0]
 	pl.probeEnt = ents[:0]
 	if e.TL != nil {
-		e.R.HashProbe(e.TL, len(left))
+		e.R.HashProbe(e.TL, n)
 		e.R.Memcmp(e.TL, cmpBytes, cmps)
 		if step.Type == NLJ {
 			// Naive nested loop compares every pair.
-			pairs := int64(len(left)) * int64(len(inner.rows))
+			pairs := int64(n) * int64(len(inner.rows.rows))
 			e.R.Memcmp(e.TL, pairs*8, num.ClampInt(pairs))
 		}
-		e.R.Memcpy(e.TL, int64(len(out))*e.cacheWidth(pl.Widths[si+1]))
-		e.R.RowOverhead(e.TL, len(out), hw.CatBufferManage)
-		e.chargeDeref(pl, si, len(out))
+		e.R.Memcpy(e.TL, int64(out.Len())*e.cacheWidth(pl.Widths[si+1]))
+		e.R.RowOverhead(e.TL, out.Len(), hw.CatBufferManage)
+		e.chargeDeref(pl, si, out.Len())
 	}
 	return out, nil
 }
@@ -365,8 +367,8 @@ func (e *Engine) AppendInner(pl *Pipeline, si int, rows [][]byte) error {
 	if err != nil {
 		return err
 	}
-	base := len(inner.rows)
-	inner.rows = append(inner.rows, rows...)
+	base := len(inner.rows.rows)
+	inner.rows.rows = append(inner.rows.rows, rows...)
 	conds := pl.conds[si]
 	key := pl.keyBuf[:0]
 	for i, r := range rows {
@@ -386,10 +388,12 @@ func (e *Engine) AppendInner(pl *Pipeline, si int, rows [][]byte) error {
 	return nil
 }
 
-// hashInner builds the in-buffer hash table over the inner rows.
+// hashInner builds the in-buffer hash table over the inner rows. The rows
+// get a fresh pool, so tuples joined against an earlier seeding keep
+// resolving to the rows they matched.
 func (e *Engine) hashInner(inner *innerState, rows [][]byte, width int64, step JoinStep, conds []BoundCond) {
 	rt, _ := e.Cat.Table(step.Right.Ref.Table)
-	inner.rows = rows
+	inner.rows = &rowPool{rows: rows}
 	inner.width = width
 	inner.tab = newKeyTab(len(rows))
 	var key []byte
@@ -441,7 +445,7 @@ func chargeRepeatDelta(tl *vclock.Timeline, delta map[string]vclock.Duration, ti
 // through an index — directly through the primary LSM tree when the join
 // column is the PK, or through the secondary index with the two-stage
 // secondary→primary seek of paper Fig. 9.
-func (e *Engine) joinIndexed(pl *Pipeline, si int, leftShape *Shape, left []Tuple, step JoinStep) ([]Tuple, error) {
+func (e *Engine) joinIndexed(pl *Pipeline, si int, leftShape *Shape, left *TupleSet, step JoinStep) (*TupleSet, error) {
 	rt, err := e.Cat.Table(step.Right.Ref.Table)
 	if err != nil {
 		return nil, err
@@ -461,16 +465,22 @@ func (e *Engine) joinIndexed(pl *Pipeline, si int, leftShape *Shape, left []Tupl
 	// the fixed-width layout directly instead of decoding Values per term.
 	rightBP := expr.Compile(rt.Schema, step.Right.Filter)
 
-	var out []Tuple
+	pool := pl.fetched[si]
+	if pool == nil {
+		pool = &rowPool{}
+		pl.fetched[si] = pool
+	}
+	out := left.extend(pool)
+	view := e.viewOf(step.Right.Ref.Table)
 	var rrows []table.Record
 	fetched := 0
-	for _, tu := range left {
-		v := tu.Record(leftShape, primary.LeftPos).Get(primary.LeftColIdx)
+	n, w := left.Len(), left.Width()
+	for i := 0; i < n; i++ {
+		v := left.Record(leftShape, i, primary.LeftPos).Get(primary.LeftColIdx)
 		if v.Null {
 			continue
 		}
 		rrows = rrows[:0]
-		view := e.viewOf(step.Right.Ref.Table)
 		if step.RightIndexIsPK {
 			if !v.IsI {
 				continue
@@ -504,7 +514,7 @@ func (e *Engine) joinIndexed(pl *Pipeline, si int, leftShape *Shape, left []Tupl
 			}
 			match := true
 			for _, c := range residual {
-				lv := tu.Record(leftShape, c.LeftPos).Get(c.LeftColIdx)
+				lv := left.Record(leftShape, i, c.LeftPos).Get(c.LeftColIdx)
 				rv := rec.Get(c.RightColIdx)
 				if lv.Null || rv.Null || lv.IsI != rv.IsI ||
 					(lv.IsI && lv.Int != rv.Int) || (!lv.IsI && lv.Str != rv.Str) {
@@ -513,57 +523,17 @@ func (e *Engine) joinIndexed(pl *Pipeline, si int, leftShape *Shape, left []Tupl
 				}
 			}
 			if match {
-				out = append(out, pl.extendTuple(tu, rec.Data))
+				out.ids = append(append(out.ids, left.ids[i*w:(i+1)*w]...), pool.add(rec.Data))
 			}
 		}
 	}
 	if e.TL != nil {
 		e.R.Eval(e.TL, fetched, terms+len(residual))
-		e.R.Memcpy(e.TL, int64(len(out))*e.cacheWidth(pl.Widths[si+1]))
-		e.R.RowOverhead(e.TL, len(out), hw.CatBufferManage)
-		e.chargeDeref(pl, si, len(out))
+		e.R.Memcpy(e.TL, int64(out.Len())*e.cacheWidth(pl.Widths[si+1]))
+		e.R.RowOverhead(e.TL, out.Len(), hw.CatBufferManage)
+		e.chargeDeref(pl, si, out.Len())
 	}
 	return out, nil
-}
-
-// tupleArenaBlock is the slot count of one arena block; at 8 bytes per slot a
-// block is one 64 KiB allocation feeding thousands of tuple extensions.
-const tupleArenaBlock = 8192
-
-// tupleArena carves Tuple backing arrays out of large shared blocks so the
-// join output path performs one allocation per block instead of one per
-// tuple. Carved tuples use full slice expressions, so an (out-of-contract)
-// append on a Tuple can never bleed into its neighbor. A pipeline — and
-// therefore its arena — is only ever driven by one goroutine at a time: the
-// cooperative executor runs host joins synchronously inside the device's
-// emit callback, and the parallel sweep gives each worker its own engines
-// and pipelines.
-type tupleArena struct {
-	block [][]byte
-	off   int
-}
-
-func (a *tupleArena) alloc(n int) Tuple {
-	if a.off+n > len(a.block) {
-		sz := tupleArenaBlock
-		if n > sz {
-			sz = n
-		}
-		a.block = make([][]byte, sz)
-		a.off = 0
-	}
-	t := Tuple(a.block[a.off : a.off+n : a.off+n])
-	a.off += n
-	return t
-}
-
-// extendTuple appends the matched right-side row to tu in arena-backed
-// storage.
-func (pl *Pipeline) extendTuple(tu Tuple, right []byte) Tuple {
-	nt := pl.arena.alloc(len(tu) + 1)
-	copy(nt, tu)
-	nt[len(tu)] = right
-	return nt
 }
 
 // boundRef is a column reference resolved against a shape: tuple position
@@ -571,7 +541,7 @@ func (pl *Pipeline) extendTuple(tu Tuple, right []byte) Tuple {
 type boundRef struct{ pos, idx int }
 
 // bindRef resolves an aliased column once. Unknown aliases or columns bind to
-// -1 and read as NULL, matching Tuple.Col.
+// -1 and read as NULL.
 func bindRef(sh *Shape, alias, col string) boundRef {
 	p := sh.Pos(alias)
 	if p < 0 {
@@ -580,28 +550,37 @@ func bindRef(sh *Shape, alias, col string) boundRef {
 	return boundRef{pos: p, idx: sh.Schemas[p].ColumnIndex(col)}
 }
 
-// colVal reads a bound column from the tuple (NULL for unbound refs and
-// absent positions, as Tuple.Col does).
-func colVal(sh *Shape, tu Tuple, r boundRef) table.Value {
-	if r.pos < 0 || tu[r.pos] == nil {
+// colVal reads a bound column from tuple i (NULL for unbound refs and
+// absent rows).
+func colVal(sh *Shape, ts *TupleSet, i int, r boundRef) table.Value {
+	if r.pos < 0 {
 		return table.NullVal()
 	}
-	return table.Record{Schema: sh.Schemas[r.pos], Data: tu[r.pos]}.Get(r.idx)
+	row := ts.Row(i, r.pos)
+	if row == nil {
+		return table.NullVal()
+	}
+	return table.Record{Schema: sh.Schemas[r.pos], Data: row}.Get(r.idx)
 }
 
 // groupAggregate hash-groups tuples and computes the aggregates. Groups live
 // in the open-addressing key table — the entry ordinal is the group's
 // first-occurrence rank, which is the output order — with flat accumulator
 // arrays indexed by ordinal×len(aggs) instead of a per-group state struct.
-func (e *Engine) groupAggregate(sh *Shape, tuples []Tuple, groupBy []query.ColRef, aggs []query.Aggregate) (*Result, error) {
+func (e *Engine) groupAggregate(sh *Shape, tuples *TupleSet, groupBy []query.ColRef, aggs []query.Aggregate) (*Result, error) {
 	gbRefs := make([]boundRef, len(groupBy))
 	for i, g := range groupBy {
 		gbRefs[i] = bindRef(sh, g.Alias, g.Col)
 	}
 	aggRefs := make([]boundRef, len(aggs))
+	// aggStr marks MIN/MAX arguments of CHAR columns: the result type comes
+	// from the schema, so an extreme value of "" still renders as a string.
+	aggStr := make([]bool, len(aggs))
 	for i, a := range aggs {
 		if !a.Star {
-			aggRefs[i] = bindRef(sh, a.Arg.Alias, a.Arg.Col)
+			r := bindRef(sh, a.Arg.Alias, a.Arg.Col)
+			aggRefs[i] = r
+			aggStr[i] = r.idx >= 0 && sh.Schemas[r.pos].Columns[r.idx].Type == table.Char
 		}
 	}
 
@@ -623,18 +602,21 @@ func (e *Engine) groupAggregate(sh *Shape, tuples []Tuple, groupBy []query.ColRe
 	bs := e.batchSize()
 	var gkArena []byte
 	var gkEnds []int32
-	for b := 0; b < len(tuples); b += bs {
-		chunk := tuples[b:min(b+bs, len(tuples))]
+	n := tuples.Len()
+	for b := 0; b < n; b += bs {
+		hi := min(b+bs, n)
 		gkArena = gkArena[:0]
 		gkEnds = gkEnds[:0]
-		for _, tu := range chunk {
+		for t := b; t < hi; t++ {
 			for gi := range groupBy {
 				r := gbRefs[gi]
-				if r.pos >= 0 && tu[r.pos] != nil {
-					var ok bool
-					gkArena, ok = table.Record{Schema: sh.Schemas[r.pos], Data: tu[r.pos]}.AppendColKey(gkArena, r.idx)
-					if ok {
-						continue
+				if r.pos >= 0 {
+					if row := tuples.Row(t, r.pos); row != nil {
+						var ok bool
+						gkArena, ok = table.Record{Schema: sh.Schemas[r.pos], Data: row}.AppendColKey(gkArena, r.idx)
+						if ok {
+							continue
+						}
 					}
 				}
 				// NULL group keys encode like the empty string (and collide
@@ -644,14 +626,15 @@ func (e *Engine) groupAggregate(sh *Shape, tuples []Tuple, groupBy []query.ColRe
 			gkEnds = append(gkEnds, int32(len(gkArena)))
 		}
 		gkStart := int32(0)
-		for j, tu := range chunk {
+		for j := range hi - b {
+			t := b + j
 			gk := gkArena[gkStart:gkEnds[j]]
 			gkStart = gkEnds[j]
 			ord, fresh := tab.put(fnv1a(gk), gk)
 			if fresh {
 				kv := make([]table.Value, len(groupBy))
 				for gi := range groupBy {
-					kv[gi] = colVal(sh, tu, gbRefs[gi])
+					kv[gi] = colVal(sh, tuples, t, gbRefs[gi])
 				}
 				keys = append(keys, kv)
 				for i := 0; i < na; i++ {
@@ -668,7 +651,7 @@ func (e *Engine) groupAggregate(sh *Shape, tuples []Tuple, groupBy []query.ColRe
 					counts[base+i]++
 					continue
 				}
-				v := colVal(sh, tu, aggRefs[i])
+				v := colVal(sh, tuples, t, aggRefs[i])
 				if v.Null {
 					continue
 				}
@@ -703,7 +686,7 @@ func (e *Engine) groupAggregate(sh *Shape, tuples []Tuple, groupBy []query.ColRe
 	}
 
 	if e.TL != nil {
-		e.R.Group(e.TL, len(tuples))
+		e.R.Group(e.TL, n)
 	}
 
 	res := &Result{}
@@ -733,7 +716,7 @@ func (e *Engine) groupAggregate(sh *Shape, tuples []Tuple, groupBy []query.ColRe
 			case a.Func == query.Avg:
 				row = append(row, table.IntVal(int32(sums[base+i]/float64(num.MaxI64(counts[base+i], 1)))))
 			case a.Func == query.Min || a.Func == query.Max:
-				if minS[base+i] != "" {
+				if aggStr[i] {
 					row = append(row, table.StrVal(minS[base+i]))
 				} else {
 					row = append(row, table.IntVal(minI[base+i]))
@@ -765,7 +748,7 @@ func (e *Engine) groupAggregate(sh *Shape, tuples []Tuple, groupBy []query.ColRe
 }
 
 // projectTuples renders plain projections.
-func (e *Engine) projectTuples(sh *Shape, tuples []Tuple, out []query.ColRef) (*Result, error) {
+func (e *Engine) projectTuples(sh *Shape, tuples *TupleSet, out []query.ColRef) (*Result, error) {
 	res := &Result{}
 	if len(out) == 0 {
 		// SELECT *: all columns of all tables.
@@ -795,19 +778,19 @@ func (e *Engine) projectTuples(sh *Shape, tuples []Tuple, out []query.ColRef) (*
 			refs[ci] = bindRef(sh, c.Alias, c.Col)
 		}
 	}
-	for _, tu := range tuples {
+	for t := range tuples.Len() {
 		if len(res.Rows) < RetainRows {
 			var row []table.Value
 			if len(out) == 0 {
 				for i := range sh.Aliases {
-					rec := tu.Record(sh, i)
+					rec := tuples.Record(sh, t, i)
 					for ci := range sh.Schemas[i].Columns {
 						row = append(row, rec.Get(ci))
 					}
 				}
 			} else {
 				for _, r := range refs {
-					row = append(row, colVal(sh, tu, r))
+					row = append(row, colVal(sh, tuples, t, r))
 				}
 			}
 			res.Rows = append(res.Rows, row)

@@ -181,21 +181,3 @@ func (s *Shape) Extend(alias string, schema *table.Schema) *Shape {
 	return NewShape(append(append([]string(nil), s.Aliases...), alias),
 		append(append([]*table.Schema(nil), s.Schemas...), schema))
 }
-
-// Tuple is one row of a join pipeline: the raw record of each base table in
-// shape order. Joins extend tuples by appending the matched right-side row.
-type Tuple [][]byte
-
-// Record returns the decoded view of position i under shape sh.
-func (t Tuple) Record(sh *Shape, i int) table.Record {
-	return table.Record{Schema: sh.Schemas[i], Data: t[i]}
-}
-
-// Col resolves an aliased column against the tuple.
-func (t Tuple) Col(sh *Shape, alias, col string) table.Value {
-	i := sh.Pos(alias)
-	if i < 0 || t[i] == nil {
-		return table.NullVal()
-	}
-	return table.Record{Schema: sh.Schemas[i], Data: t[i]}.GetByName(col)
-}

@@ -388,7 +388,7 @@ func (x *Executor) RunTraced(a *Assignment, tr *obs.Trace, deadline vclock.Durat
 				slot := pi
 				err := d.RunShard(cmd, dpl, eng, part.Lo, part.Hi, func(b device.Batch) error {
 					drivingBatches[slot] = append(drivingBatches[slot], b)
-					shardRows[dev] += int64(len(b.Tuples))
+					shardRows[dev] += int64(b.Tuples.Len())
 					shardBatches[dev]++
 					return nil
 				})
@@ -551,8 +551,8 @@ func (x *Executor) RunTraced(a *Assignment, tr *obs.Trace, deadline vclock.Durat
 			}
 		}
 	}
-	var tuples []exec.Tuple
-	joinRange := func(from int, batch []exec.Tuple) ([]exec.Tuple, error) {
+	tuples := new(exec.TupleSet)
+	joinRange := func(from int, batch *exec.TupleSet) (*exec.TupleSet, error) {
 		for si := from; si < len(p.Steps); si++ {
 			var jerr error
 			if batch, jerr = hostEng.JoinStep(pl, si, batch); jerr != nil {
@@ -569,7 +569,7 @@ func (x *Executor) RunTraced(a *Assignment, tr *obs.Trace, deadline vclock.Durat
 			// partition's merged rows and falls through to the host path, so
 			// the final stream carries each partition exactly once.
 			fromDevice = true
-			var partTuples []exec.Tuple
+			partTuples := new(exec.TupleSet)
 			hostFrom := a.Shards[dev].Split
 			if hostFrom < 0 {
 				hostFrom = 0
@@ -584,10 +584,10 @@ func (x *Executor) RunTraced(a *Assignment, tr *obs.Trace, deadline vclock.Durat
 				if err != nil {
 					return nil, err
 				}
-				partTuples = append(partTuples, out...)
+				partTuples.Append(out)
 			}
 			if fromDevice {
-				tuples = append(tuples, partTuples...)
+				tuples.Append(partTuples)
 				continue
 			}
 		}
@@ -617,7 +617,7 @@ func (x *Executor) RunTraced(a *Assignment, tr *obs.Trace, deadline vclock.Durat
 			hsp.End()
 			return nil, err
 		}
-		tuples = append(tuples, out...)
+		tuples.Append(out)
 		hsp.End()
 	}
 
