@@ -3,7 +3,8 @@
 
 GO ?= go
 # PR numbers the bench-json snapshot: make bench-json PR=13 writes BENCH_PR13.json.
-PR ?= 13
+# The default is the number of the last `- PR N` entry in CHANGES.md.
+PR ?= $(shell sed -n 's/^- PR \([0-9][0-9]*\).*/\1/p' CHANGES.md | tail -n 1)
 
 .PHONY: all build vet lint test race bench bench-json bench-name benchdiff serve serve-smoke trace-smoke chaos chaos-slo fleet-smoke
 

@@ -14,6 +14,7 @@ import (
 	"hybridndp/internal/coop"
 	"hybridndp/internal/hw"
 	"hybridndp/internal/job"
+	"hybridndp/internal/vclock"
 )
 
 func main() {
@@ -39,10 +40,7 @@ func main() {
 	}
 
 	fmt.Println("\nhost stage distribution (paper Table 4, left):")
-	var hostTotal float64
-	for _, d := range rep.HostAccount {
-		hostTotal += float64(d)
-	}
+	hostTotal := float64(vclock.SumAccount(rep.HostAccount, nil))
 	stages := []struct{ label, cat string }{
 		{"NDP setup (command)", hw.CatNDPSetup},
 		{"Wait (initial device exec.)", hw.CatWaitInitial},
@@ -58,10 +56,7 @@ func main() {
 	fmt.Printf("  %-30s %8.3fms  %5.2f%%\n", "Processing", rest/1e6, 100*rest/hostTotal)
 
 	fmt.Println("\ndevice operation distribution (paper Table 4, right):")
-	var devTotal float64
-	for _, d := range rep.DeviceAccount {
-		devTotal += float64(d)
-	}
+	devTotal := float64(vclock.SumAccount(rep.DeviceAccount, nil))
 	type kv struct {
 		k string
 		v float64

@@ -8,6 +8,7 @@ import (
 	"hybridndp/internal/hw"
 	"hybridndp/internal/job"
 	"hybridndp/internal/table"
+	"hybridndp/internal/vclock"
 )
 
 var (
@@ -107,14 +108,9 @@ func TestHybridOverlapBeatsSerialParts(t *testing.T) {
 		}
 		// The hybrid elapsed time must be at least the device's busy time
 		// outside waiting (sanity of the two-timeline accounting).
-		var devBusy, devWait float64
-		for cat, d := range rep.DeviceAccount {
-			if cat == hw.CatWaitSlots || cat == hw.CatNDPSetup {
-				devWait += float64(d)
-			} else {
-				devBusy += float64(d)
-			}
-		}
+		devBusy := float64(vclock.SumAccount(rep.DeviceAccount, func(cat string) bool {
+			return cat != hw.CatWaitSlots && cat != hw.CatNDPSetup
+		}))
 		if float64(rep.Elapsed) < devBusy {
 			t.Fatalf("%v: elapsed %v < device busy %v", st, rep.Elapsed, devBusy)
 		}

@@ -1,6 +1,9 @@
 // Package maporder flags range statements over maps whose loop body has
-// order-dependent effects: appending to a slice declared outside the loop, or
-// writing to an output sink (fmt.Fprintf, strings.Builder, io.Writer...).
+// order-dependent effects: appending to a slice declared outside the loop,
+// writing to an output sink (fmt.Fprintf, strings.Builder, io.Writer...), or
+// folding a floating-point value into state outside the loop with a compound
+// assignment (float addition and multiplication are not associative, so the
+// total's last bits follow the iteration order).
 // Go's map iteration order is deliberately randomized, so such loops produce
 // a different plan, report, or byte stream on every run — exactly the
 // nondeterminism class that had to be fixed by hand in the optimizer during
@@ -74,6 +77,12 @@ func checkMapRange(pass *analysis.Pass, fnBody *ast.BlockStmt, rs *ast.RangeStmt
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
 		switch s := n.(type) {
 		case *ast.AssignStmt:
+			// total += x on a float declared outside the loop (or an outer
+			// map element other than the iteration key's own).
+			if floatFold(pass, s) && !declaredWithin(pass, s.Lhs[0], rs.Body) && !ownKeyElement(pass, s.Lhs[0], rs) {
+				pass.Reportf(s.Pos(), "floating-point %s to %s inside range over map %s: the result depends on iteration order; fold in sorted key order (vclock.SumAccount for accounts)",
+					s.Tok, render(s.Lhs[0]), render(rs.X))
+			}
 			// target = append(target, ...) with target declared outside the loop.
 			for i, rhs := range s.Rhs {
 				call, ok := rhs.(*ast.CallExpr)
@@ -98,6 +107,38 @@ func checkMapRange(pass *analysis.Pass, fnBody *ast.BlockStmt, rs *ast.RangeStmt
 		}
 		return true
 	})
+}
+
+// floatFold reports whether s is a compound assignment (+=, -=, *=, /=) to a
+// floating-point target.
+func floatFold(pass *analysis.Pass, s *ast.AssignStmt) bool {
+	switch s.Tok {
+	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
+	default:
+		return false
+	}
+	t := pass.TypeOf(s.Lhs[0])
+	if t == nil {
+		return false
+	}
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsFloat != 0
+}
+
+// ownKeyElement reports whether e is a map element indexed by the range's own
+// key variable (shares[k] /= total): each iteration updates a different
+// element, so nothing folds across iterations.
+func ownKeyElement(pass *analysis.Pass, e ast.Expr, rs *ast.RangeStmt) bool {
+	ix, ok := e.(*ast.IndexExpr)
+	if !ok {
+		return false
+	}
+	key, ok := rs.Key.(*ast.Ident)
+	if !ok {
+		return false
+	}
+	id, ok := ix.Index.(*ast.Ident)
+	return ok && pass.Info.ObjectOf(id) != nil && pass.Info.ObjectOf(id) == pass.Info.ObjectOf(key)
 }
 
 // isAppend reports whether call is the builtin append.

@@ -84,3 +84,71 @@ func goodAggregate(m map[string]int) int {
 	}
 	return total
 }
+
+// badFloatSum folds float values in iteration order: the total's last bits
+// change run to run.
+func badFloatSum(m map[string]float64) float64 {
+	var total float64
+	for _, v := range m {
+		total += v // want `floating-point \+= to total inside range over map m`
+	}
+	return total
+}
+
+// duration is a named float type, like vclock.Duration.
+type duration float64
+
+// badFloatIntoMap folds into an outer map element keyed by a derived group.
+func badFloatIntoMap(m map[string]duration, group func(string) int) map[int]duration {
+	sums := map[int]duration{}
+	for k, d := range m {
+		sums[group(k)] += d // want `floating-point \+= to sums\[group\(k\)\] inside range over map m`
+	}
+	return sums
+}
+
+// badFloatOps covers the other compound operators and a struct field.
+func badFloatOps(m map[string]float64) (float64, float64) {
+	var acc struct{ prod, rest float64 }
+	acc.prod, acc.rest = 1, 100
+	for _, v := range m {
+		acc.prod *= v // want `floating-point \*= to acc\.prod inside range over map m`
+		acc.rest -= v // want `floating-point -= to acc\.rest inside range over map m`
+		acc.rest /= 2 // want `floating-point /= to acc\.rest inside range over map m`
+	}
+	return acc.prod, acc.rest
+}
+
+// goodSortedFloatSum folds in sorted key order: fine.
+func goodSortedFloatSum(m map[string]float64) float64 {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var total float64
+	for _, k := range keys {
+		total += m[k]
+	}
+	return total
+}
+
+// goodLoopLocalFloat folds into a float declared inside the loop body: each
+// iteration's sum is independent of the others.
+func goodLoopLocalFloat(m map[string][]float64, out map[string]float64) {
+	for k, vs := range m {
+		var s float64
+		for _, v := range vs {
+			s += v
+		}
+		out[k] = s
+	}
+}
+
+// goodMapElementOwnKey updates each key's own element: no fold across
+// iterations.
+func goodMapElementOwnKey(m map[string]float64, total float64) {
+	for k := range m {
+		m[k] /= total
+	}
+}

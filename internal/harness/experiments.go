@@ -456,10 +456,7 @@ func (h *H) Fig17Table4(w io.Writer) (*Fig17Result, error) {
 		{"Wait (2nd..nth device exec.)", hw.CatWaitFetch},
 		{"Result transfer", hw.CatTransfer},
 	}
-	var hostTotal vclock.Duration
-	for _, d := range rep.HostAccount {
-		hostTotal += d
-	}
+	hostTotal := vclock.SumAccount(rep.HostAccount, nil)
 	fmt.Fprintf(w, "  host stages:\n")
 	var processing vclock.Duration = hostTotal
 	for _, st := range hostStages {
@@ -476,10 +473,7 @@ func (h *H) Fig17Table4(w io.Writer) (*Fig17Result, error) {
 		math.Max(float64(hostTotal), 1)
 
 	fmt.Fprintf(w, "  device operations:\n")
-	var devTotal vclock.Duration
-	for _, d := range rep.DeviceAccount {
-		devTotal += d
-	}
+	devTotal := vclock.SumAccount(rep.DeviceAccount, nil)
 	type kv struct {
 		k string
 		v vclock.Duration

@@ -167,6 +167,9 @@ func (t *Tree) Flush() error {
 func (t *Tree) flushLocked() error {
 	for len(t.imm) > 0 {
 		m := t.imm[len(t.imm)-1] // oldest first keeps newest-first order in l1
+		// Nil the vacated slot: the backing array would otherwise keep the
+		// flushed skiplist (a second copy of every row) alive.
+		t.imm[len(t.imm)-1] = nil
 		t.imm = t.imm[:len(t.imm)-1]
 		if m.Len() == 0 {
 			continue
@@ -357,6 +360,7 @@ func (t *Tree) compactLowerLocked() error {
 		}
 		// Move the first (smallest-key) SST down, merging with overlap.
 		victim := t.levels[i][0]
+		t.levels[i][0] = nil // the reslice below would keep it reachable
 		t.levels[i] = t.levels[i][1:]
 		var overlap, keep []*SST
 		for _, s := range t.levels[i+1] {

@@ -111,17 +111,14 @@ type QueryProfile struct {
 // percentages.
 func aggregate(account map[string]vclock.Duration, phaseOf func(string) Phase,
 	order []Phase, total vclock.Duration) []PhaseTotal {
-	sums := map[Phase]vclock.Duration{}
-	for cat, d := range account {
-		sums[phaseOf(cat)] += d
-	}
 	out := make([]PhaseTotal, 0, len(order))
 	for _, ph := range order {
+		sum := vclock.SumAccount(account, func(cat string) bool { return phaseOf(cat) == ph })
 		pct := 0.0
 		if total > 0 {
-			pct = 100 * float64(sums[ph]) / float64(total)
+			pct = 100 * float64(sum) / float64(total)
 		}
-		out = append(out, PhaseTotal{Phase: ph, Total: sums[ph], Percent: pct})
+		out = append(out, PhaseTotal{Phase: ph, Total: sum, Percent: pct})
 	}
 	return out
 }

@@ -3,7 +3,6 @@ package sched
 import (
 	"hybridndp/internal/coop"
 	"hybridndp/internal/fleet"
-	"hybridndp/internal/hw"
 	"hybridndp/internal/obs"
 	"hybridndp/internal/optimizer"
 	"hybridndp/internal/vclock"
@@ -46,12 +45,7 @@ func (g *fleetGate) AdmitShard(dev int, memBytes int64, estNs float64) (func(ok 
 func fleetDeviceBusy(r *fleet.Report) vclock.Duration {
 	var busy vclock.Duration
 	for _, sr := range r.Shards {
-		for cat, d := range sr.Account {
-			if cat == hw.CatWaitSlots || cat == hw.CatNDPSetup {
-				continue
-			}
-			busy += d
-		}
+		busy += vclock.SumAccount(sr.Account, deviceBusyCategory)
 	}
 	return busy
 }

@@ -451,6 +451,7 @@ func (s *Scheduler) popLocked() *Ticket {
 	if s.popCount%4 == 0 {
 		s.cfg.Metrics.Counter("sched.queue.aged_dispatch").Inc()
 	}
+	s.queues[pick][0] = nil // the reslice below would keep it reachable
 	s.queues[pick] = s.queues[pick][1:]
 	s.queued--
 	s.publishQueueLocked(Priority(pick))
@@ -742,12 +743,11 @@ func hostBusy(r *coop.Report) vclock.Duration {
 // deviceBusy extracts the device's busy virtual time (setup rendezvous and
 // slot stalls excluded).
 func deviceBusy(r *coop.Report) vclock.Duration {
-	var busy vclock.Duration
-	for cat, d := range r.DeviceAccount {
-		if cat == hw.CatWaitSlots || cat == hw.CatNDPSetup {
-			continue
-		}
-		busy += d
-	}
-	return busy
+	return vclock.SumAccount(r.DeviceAccount, deviceBusyCategory)
+}
+
+// deviceBusyCategory reports whether a device account category counts as busy
+// time: everything but the setup rendezvous and slot stalls.
+func deviceBusyCategory(cat string) bool {
+	return cat != hw.CatWaitSlots && cat != hw.CatNDPSetup
 }

@@ -113,6 +113,7 @@ func (t *tenantQueue) pop() *request {
 	}
 	t.popCount++
 	r := t.classes[c][0]
+	t.classes[c][0] = nil // the reslice below would keep it reachable
 	t.classes[c] = t.classes[c][1:]
 	t.size--
 	return r

@@ -113,6 +113,26 @@ func (tl *Timeline) Account() map[string]Duration {
 	return out
 }
 
+// SumAccount adds up the durations of an account's categories that keep
+// accepts (every category when keep is nil) in sorted category order. Float
+// addition is not associative, so a sum taken in map iteration order can
+// differ in its last bits from run to run; every total over an account goes
+// through here.
+func SumAccount(account map[string]Duration, keep func(category string) bool) Duration {
+	cats := make([]string, 0, len(account))
+	for c := range account {
+		if keep == nil || keep(c) {
+			cats = append(cats, c)
+		}
+	}
+	sort.Strings(cats)
+	var sum Duration
+	for _, c := range cats {
+		sum += account[c]
+	}
+	return sum
+}
+
 // Booked reports the total booked under category.
 func (tl *Timeline) Booked(category string) Duration { return tl.account[category] }
 
@@ -131,10 +151,7 @@ type BreakdownEntry struct {
 
 // Breakdown returns the account sorted by descending share of the total.
 func (tl *Timeline) Breakdown() []BreakdownEntry {
-	var total Duration
-	for _, v := range tl.account {
-		total += v
-	}
+	total := SumAccount(tl.account, nil)
 	out := make([]BreakdownEntry, 0, len(tl.account))
 	for k, v := range tl.account {
 		pct := 0.0

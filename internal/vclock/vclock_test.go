@@ -130,13 +130,34 @@ func TestClockMonotonicProperty(t *testing.T) {
 			}
 			prev = tl.Now()
 		}
-		var sum Duration
-		for _, v := range tl.Account() {
-			sum += v
-		}
-		return Time(sum) == tl.Now()
+		return Time(SumAccount(tl.Account(), nil)) == tl.Now()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAccountSumIsOrderFree sums one account 200 times, each through a fresh
+// map: 0.1+0.2+0.3 depends on the addition order, so a total taken in map
+// iteration order takes more than one value.
+func TestAccountSumIsOrderFree(t *testing.T) {
+	sums := map[Duration]bool{}
+	shares := map[float64]bool{}
+	for i := 0; i < 200; i++ {
+		tl := NewTimeline("host")
+		tl.Charge("a", 0.1)
+		tl.Charge("b", 0.2)
+		tl.Charge("c", 0.3)
+		sums[SumAccount(tl.Account(), nil)] = true
+		shares[tl.Breakdown()[0].Percent] = true
+	}
+	if len(sums) != 1 || len(shares) != 1 {
+		t.Fatalf("200 passes gave %d distinct sums and %d distinct shares, want 1 each", len(sums), len(shares))
+	}
+	if want := (Duration(0.1) + 0.2) + 0.3; !sums[want] {
+		t.Errorf("sum is not taken in sorted category order: got %v, want %v", sums, want)
+	}
+	if got := SumAccount(map[string]Duration{"a": 1, "b": 2, "c": 4}, func(c string) bool { return c != "b" }); got != 5 {
+		t.Errorf("filtered sum = %v, want 5", got)
 	}
 }
